@@ -75,7 +75,6 @@ import (
 	"fadewich/internal/segment"
 	"fadewich/internal/serve"
 	"fadewich/internal/stream"
-	"fadewich/internal/vmath"
 	"fadewich/internal/wire"
 )
 
@@ -87,7 +86,6 @@ func main() {
 	queue := flag.Int("queue", 0, "per-office tick queue capacity (0 = default 256)")
 	onFull := flag.String("on-full", "block", "backpressure policy when a queue is full: block, drop-oldest or error")
 	batchTicks := flag.Int("batch-ticks", 0, "dispatch when an office has this many ticks queued (0 = flush/latency-driven only)")
-	adaptive := flag.Bool("adaptive-batch", false, "scale the dispatch threshold with queue pressure (needs -batch-ticks)")
 	maxLatency := flag.Duration("max-latency", 0, "dispatch queued ticks at most this long after they arrive (0 = off)")
 	parallel := flag.Int("parallel", 0, "fleet worker pool width (0 = one per CPU)")
 	segDir := flag.String("segments", "", "persist the action stream to a rotating segment log in this directory")
@@ -110,11 +108,6 @@ func main() {
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
 	flag.Parse()
 
-	// Name the active vmath kernel path once at startup: when a perf
-	// report or a golden mismatch comes in, the first question is which
-	// dispatch table the process was running.
-	fmt.Fprintf(os.Stderr, "fadewich-serve: vmath kernels: %s\n", vmath.ActivePath())
-
 	stopProf, err := prof.Start(prof.Flags{CPU: *cpuProfile, Mem: *memProfile, Mutex: *mutexProfile})
 	if err == nil {
 		err = run(options{
@@ -125,7 +118,6 @@ func main() {
 			queue:         *queue,
 			onFull:        *onFull,
 			batchTicks:    *batchTicks,
-			adaptive:      *adaptive,
 			maxLatency:    *maxLatency,
 			parallel:      *parallel,
 			segDir:        *segDir,
@@ -162,7 +154,6 @@ type options struct {
 	queue         int
 	onFull        string
 	batchTicks    int
-	adaptive      bool
 	maxLatency    time.Duration
 	parallel      int
 	segDir        string
@@ -212,7 +203,6 @@ func baseConfig(opt options) (serve.Config, error) {
 		Queue:           opt.queue,
 		OnFull:          policy,
 		BatchTicks:      opt.batchTicks,
-		AdaptiveBatch:   opt.adaptive,
 		MaxBatchLatency: opt.maxLatency,
 		Workers:         opt.parallel,
 		SegmentDir:      opt.segDir,
@@ -258,8 +248,8 @@ func runWorker(opt options) error {
 	if opt.forward == "" {
 		return errors.New("worker mode needs -forward (the stream router's listen address)")
 	}
-	if opt.batchTicks != 0 || opt.adaptive || opt.maxLatency != 0 {
-		return errors.New("worker dispatch is driven by ?flush=1&epoch=K; -batch-ticks, -adaptive-batch and -max-latency do not apply")
+	if opt.batchTicks != 0 || opt.maxLatency != 0 {
+		return errors.New("worker dispatch is driven by ?flush=1&epoch=K; -batch-ticks and -max-latency do not apply")
 	}
 	first, err := cluster.FetchShard(nil, opt.coordinator, opt.name)
 	if err != nil {

@@ -190,8 +190,10 @@ func NewTCPSink(addr string) (*TCPSink, error) { return stream.NewTCPSink(addr) 
 // the default of 1024).
 func NewRingSink(capacity int) *RingSink { return stream.NewRingSink(capacity) }
 
-// NewMultiSink fans every batch out to all the given sinks.
-func NewMultiSink(sinks ...Sink) Sink { return stream.NewMultiSink(sinks...) }
+// NewMultiSink fans every batch out to all the given sinks; one failing
+// sink does not stop delivery to the others. It is the encode-once
+// fan-out every binary uses (stream.NewEncodeOnceSink).
+func NewMultiSink(sinks ...Sink) Sink { return stream.NewEncodeOnceSink(sinks...) }
 
 // WireVersion selects the payload codec of framed sinks and segment
 // logs: WireV1JSONL keeps the historical JSONL payload, WireV2Binary is

@@ -3,10 +3,11 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 
-	"fadewich/internal/vmath"
+	"fadewich/internal/wire"
 )
 
 // promWriter accumulates Prometheus text-exposition output without any
@@ -56,10 +57,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rst, reports := s.rec.Status()
 
 	// The standard build-info idiom: a constant-1 gauge whose labels
-	// carry runtime facts — here the vmath dispatch path, so dashboards
-	// can tell AVX2 assembly from the portable fallback per instance.
-	p.metric("fadewich_build_info", "gauge", "Constant 1; labels describe the running build (vmath = active kernel dispatch path).")
-	fmt.Fprintf(&p.b, "fadewich_build_info{vmath=%q} 1\n", vmath.ActivePath())
+	// carry the facts that shape this instance's serving — the Go
+	// runtime, and the wire codec and compression of its segment log
+	// and forward stream — so dashboards can tell instances apart.
+	codec := s.cfg.Codec
+	if codec == 0 {
+		codec = wire.V1JSONL
+	}
+	p.metric("fadewich_build_info", "gauge", "Constant 1; labels describe the running build (go = Go runtime, codec = wire codec and compress = frame compression of the segment log and forward stream).")
+	fmt.Fprintf(&p.b, "fadewich_build_info{go=%q,codec=\"%d\",compress=\"%t\"} 1\n", runtime.Version(), uint8(codec), s.cfg.Compress)
 
 	p.metric("fadewich_ingest_pushed_ticks_total", "counter", "Ticks accepted into office queues, including retired offices.")
 	p.sample("fadewich_ingest_pushed_ticks_total", float64(tot.Pushed))

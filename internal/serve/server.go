@@ -46,14 +46,13 @@ type Config struct {
 	// spec content for both startup and Reload. Worker mode uses it to
 	// fetch the coordinator-assigned sub-spec over HTTP.
 	SpecSource func() ([]byte, error)
-	// Queue, OnFull, BatchTicks, AdaptiveBatch and MaxBatchLatency pass
+	// Queue, OnFull, BatchTicks and MaxBatchLatency pass
 	// through to the ingestor (stream.Config). With both BatchTicks and
 	// MaxBatchLatency zero, dispatch is strictly ?flush=1-driven —
 	// deterministic, and what the e2e byte-identity harness relies on.
 	Queue           int
 	OnFull          stream.Policy
 	BatchTicks      int
-	AdaptiveBatch   bool
 	MaxBatchLatency time.Duration
 	// Workers sizes the fleet's worker pool (0 selects GOMAXPROCS).
 	Workers int
@@ -94,7 +93,7 @@ type Config struct {
 	// remapped from local fleet IDs to the gids the spec carries, and
 	// shutdown sends a final frame. Requires Forward, a spec whose
 	// offices all carry gids, and strictly flush-driven dispatch
-	// (BatchTicks, AdaptiveBatch and MaxBatchLatency all zero) — the
+	// (BatchTicks and MaxBatchLatency both zero) — the
 	// tagged sink refuses untagged batches.
 	ForwardSource uint8
 	// SubscriberBuffer is each /v1/actions connection's in-flight frame
@@ -169,8 +168,8 @@ func New(cfg Config) (*Server, error) {
 		if cfg.Forward == "" {
 			return nil, errors.New("serve: forward source set without a forward address")
 		}
-		if cfg.BatchTicks != 0 || cfg.AdaptiveBatch || cfg.MaxBatchLatency != 0 {
-			return nil, errors.New("serve: tagged forwarding needs strictly flush-driven dispatch (no batch-ticks, adaptive-batch or max-latency)")
+		if cfg.BatchTicks != 0 || cfg.MaxBatchLatency != 0 {
+			return nil, errors.New("serve: tagged forwarding needs strictly flush-driven dispatch (no batch-ticks or max-latency)")
 		}
 	}
 	source := cfg.SpecSource
@@ -276,7 +275,6 @@ func New(cfg Config) (*Server, error) {
 		Queue:           cfg.Queue,
 		OnFull:          cfg.OnFull,
 		BatchTicks:      cfg.BatchTicks,
-		AdaptiveBatch:   cfg.AdaptiveBatch,
 		MaxBatchLatency: cfg.MaxBatchLatency,
 		Sink:            sink,
 	})

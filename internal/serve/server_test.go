@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +21,6 @@ import (
 	"fadewich/internal/rng"
 	"fadewich/internal/stream"
 	"fadewich/internal/svm"
-	"fadewich/internal/vmath"
 	"fadewich/internal/wire"
 )
 
@@ -205,6 +205,50 @@ func TestTicksErrors(t *testing.T) {
 	rr = post(srv, "/v1/ticks", "", `{"office":"a","rssi":[1,2]}`+"\n")
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-close status %d", rr.Code)
+	}
+}
+
+// TestTicksWrongLengthRejected: a tick whose length differs from the
+// office's stream count is refused at ingest with 400 naming the line,
+// for JSONL and framed bodies alike, and the office keeps serving —
+// one malformed line must not reach the fleet, where a short or long
+// row would fail every office sharing the process.
+func TestTicksWrongLengthRejected(t *testing.T) {
+	srv, _ := newTestServer(t, specJSON("a")) // 2 sensors: 2 streams
+
+	rr := post(srv, "/v1/ticks?flush=1", "", `{"office":"a","rssi":[1,2,3]}`+"\n")
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("3-sample tick to a 2-stream office: status %d: %s", rr.Code, rr.Body.String())
+	}
+	res := decodeBody[ingestResult](t, rr)
+	if res.AcceptedTicks != 0 || res.Flushed || !strings.Contains(res.Error, "line 1") {
+		t.Fatalf("wrong-length result %+v", res)
+	}
+
+	frame, err := wire.AppendRawFrame(nil, wire.V1JSONL, []byte(`{"office":"a","rssi":[-60]}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr = post(srv, "/v1/ticks?flush=1", ContentTypeFrames, string(frame))
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("framed 1-sample tick: status %d: %s", rr.Code, rr.Body.String())
+	}
+	res = decodeBody[ingestResult](t, rr)
+	if res.AcceptedTicks != 0 || !strings.Contains(res.Error, "frame 1") || !strings.Contains(res.Error, "line 1") {
+		t.Fatalf("framed wrong-length result %+v", res)
+	}
+
+	// The office still serves: valid ticks are accepted and flushed.
+	rr = post(srv, "/v1/ticks?flush=1", "", `{"office":"a","rssi":[-60,-61]}`+"\n"+`{"office":"a","rssi":[-59,-62]}`+"\n")
+	if rr.Code != http.StatusOK {
+		t.Fatalf("valid ticks after the rejection: status %d: %s", rr.Code, rr.Body.String())
+	}
+	if res := decodeBody[ingestResult](t, rr); res.AcceptedTicks != 2 || !res.Flushed {
+		t.Fatalf("valid-tick result %+v", res)
+	}
+	tot := srv.Ingestor().Stats().Totals()
+	if tot.Pushed != 2 || tot.Dispatched != 2 || tot.Dropped != 0 {
+		t.Fatalf("ingest totals %+v, want exactly the two valid ticks dispatched", tot)
 	}
 }
 
@@ -437,9 +481,10 @@ func TestEmptySpecPolicy(t *testing.T) {
 	}
 }
 
-// promLine matches one Prometheus text-exposition sample with at most
-// one label (the office series and the build-info line).
-var promLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"\})? (-?[0-9.e+-]+|NaN)$`)
+// promLine matches one Prometheus text-exposition sample with an
+// optional label set (the office series carry one label, the
+// build-info line several).
+var promLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? (-?[0-9.e+-]+|NaN)$`)
 
 // TestMetricsEndpoint is the /metrics contract test: the page parses
 // as Prometheus text exposition, and in a quiesced state (here: after
@@ -581,9 +626,9 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metric %s = %g, want %g", name, got, v)
 		}
 	}
-	// The build-info gauge names the vmath dispatch path the process
-	// actually selected.
-	biKey := fmt.Sprintf(`fadewich_build_info{vmath=%q}`, vmath.ActivePath())
+	// The build-info gauge names the Go runtime and the configured
+	// codec and compression.
+	biKey := fmt.Sprintf(`fadewich_build_info{go=%q,codec="1",compress="false"}`, runtime.Version())
 	if got := labelled[biKey]; got != 1 {
 		t.Errorf("%s = %g, want 1", biKey, got)
 	}

@@ -235,15 +235,16 @@ func TestTCPSinkTaggedCompressedEpochs(t *testing.T) {
 }
 
 // BenchmarkFanoutEncodeOnce measures a three-way fan-out of the same
-// dispatch: "multi" encodes per member (the old NewMultiSink shape),
-// "shared" pulls one encode per variant from the EncodedBatch.
+// dispatch: "multi" fans out to members that encode privately (each
+// pays its own encode), "shared" pulls one encode per variant from the
+// EncodedBatch.
 func BenchmarkFanoutEncodeOnce(b *testing.B) {
 	batch := sampleBatch(256)
 	perSink := func() Sink {
 		return &benchEncodingSink{ver: wire.V1JSONL}
 	}
 	b.Run("multi", func(b *testing.B) {
-		fan := NewMultiSink(perSink(), perSink(), perSink())
+		fan := NewEncodeOnceSink(perSink(), perSink(), perSink())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

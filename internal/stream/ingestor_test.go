@@ -246,6 +246,50 @@ func TestIngestorValidation(t *testing.T) {
 	}
 }
 
+// TestIngestorRejectsWrongLengthTick: a tick whose length differs from
+// the office's stream count is refused at Push — for the initial
+// members and for an office joined later with its own stream count —
+// and leaves the queue untouched, so valid ticks still flow.
+func TestIngestorRejectsWrongLengthTick(t *testing.T) {
+	f := testFleet(t, 1, 1)
+	in, err := NewIngestor(f, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	joiner, err := in.AddOffice(core.Config{Streams: 3, Workstations: 1, Params: control.Params{TimeoutSec: 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		office int
+		rssi   []float64
+	}{
+		{0, []float64{1, 2, 3}},
+		{0, []float64{1}},
+		{0, []float64{}},
+		{joiner, []float64{-60, -58}},
+	} {
+		if err := in.Push(c.office, c.rssi); err == nil {
+			t.Fatalf("office %d accepted a %d-sample tick", c.office, len(c.rssi))
+		}
+	}
+	if err := in.Push(0, []float64{-60, -58}); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Push(joiner, []float64{-60, -58, -61}); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range in.Stats().Offices {
+		if o.Pushed != 1 || o.Dispatched != 1 || o.Dropped != 0 {
+			t.Fatalf("office %d counters after rejections: %+v, want exactly the one valid tick", o.Office, o)
+		}
+	}
+}
+
 func TestIngestorCloseIsIdempotentAndFinal(t *testing.T) {
 	in, err := NewIngestor(testFleet(t, 1, 1), Config{})
 	if err != nil {
@@ -323,6 +367,49 @@ func TestIngestorBatchTicksAutoDispatch(t *testing.T) {
 			t.Fatalf("auto-dispatch never ran: %+v", in.Stats().Offices[0])
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBatchTicksContentMatchesSynchronous: free-running BatchTicks
+// dispatch moves batch boundaries, never content — a single-office
+// stream must come out identical to the synchronous fleet run however
+// the batches fell.
+func TestBatchTicksContentMatchesSynchronous(t *testing.T) {
+	const ticks = 400
+	batch, inputs := scenario(1, ticks)
+
+	syncFleet := testFleet(t, 1, 1)
+	want, err := syncFleet.RunBatch(batch, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("scenario produced no actions; the comparison is vacuous")
+	}
+
+	ring := NewRingSink(4096)
+	in, err := NewIngestor(testFleet(t, 1, 1), Config{Queue: 64, BatchTicks: 4, Sink: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for tIdx := 0; tIdx < ticks; tIdx++ {
+		// Events precede their tick; deliver them at the right position.
+		for next < len(inputs) && inputs[next].Tick <= tIdx {
+			if err := in.PushInput(inputs[next].Office, inputs[next].Workstation); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if err := in.Push(0, batch[0][tIdx]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ring.Actions(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("free-running stream differs from synchronous: %d vs %d actions", len(got), len(want))
 	}
 }
 

@@ -48,16 +48,6 @@ type EpochSink interface {
 	WriteEpoch(epoch uint64, batch []engine.OfficeAction) error
 }
 
-// AppendJSONL appends the codec-v1 JSONL wire encoding of a batch to
-// dst and returns the extended slice.
-//
-// Deprecated: the wire encoding moved to the versioned frame layer; use
-// wire.AppendJSONL. This wrapper remains for callers of the pre-frame
-// API and encodes identical bytes.
-func AppendJSONL(dst []byte, batch []engine.OfficeAction) []byte {
-	return wire.AppendJSONL(dst, batch)
-}
-
 // LogSink appends the action stream to a JSONL file (one JSON object per
 // action — the unframed codec-v1 payload), buffered, flushed on Close.
 type LogSink struct {
@@ -476,63 +466,6 @@ func (s *RingSink) Overwritten() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.overwritten
-}
-
-// multiSink fans every batch out to several sinks.
-type multiSink struct {
-	sinks []Sink
-}
-
-// NewMultiSink returns a sink fanning every Write and Close out to all
-// the given sinks. One sink failing does not stop delivery to the
-// others; the errors of all failing sinks are joined. The multi sink
-// is also an EpochSink: epoch-stamped batches reach epoch-aware
-// members through WriteEpoch (empty ones included) and the rest
-// through plain Write (empty ones skipped) — this is how a worker
-// daemon feeds its tagged TCP forward and its untagged broadcaster and
-// segment log from the same dispatch.
-func NewMultiSink(sinks ...Sink) Sink {
-	return &multiSink{sinks: append([]Sink(nil), sinks...)}
-}
-
-// Write delivers the batch to every sink, joining any errors.
-func (s *multiSink) Write(batch []engine.OfficeAction) error {
-	var errs []error
-	for _, snk := range s.sinks {
-		if err := snk.Write(batch); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// WriteEpoch delivers an epoch-stamped batch: epoch-aware members get
-// the epoch (and empty batches), plain members get non-empty Writes.
-func (s *multiSink) WriteEpoch(epoch uint64, batch []engine.OfficeAction) error {
-	var errs []error
-	for _, snk := range s.sinks {
-		var err error
-		if es, ok := snk.(EpochSink); ok {
-			err = es.WriteEpoch(epoch, batch)
-		} else if len(batch) > 0 {
-			err = snk.Write(batch)
-		}
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Close closes every sink, joining any errors.
-func (s *multiSink) Close() error {
-	var errs []error
-	for _, snk := range s.sinks {
-		if err := snk.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // RemapSink rewrites each action's office ID through a lookup before

@@ -34,20 +34,6 @@ func sampleBatch(n int) []engine.OfficeAction {
 	return out
 }
 
-// TestAppendJSONLDelegatesToWire pins the deprecated wrapper to the
-// moved encoder: pre-frame callers must keep getting identical bytes.
-func TestAppendJSONLDelegatesToWire(t *testing.T) {
-	batch := []engine.OfficeAction{
-		{Office: 3, Action: core.Action{Time: 1.2, Type: core.ActionAlertEnter, Workstation: 1}},
-		{Office: 0, Action: core.Action{Time: 1.4, Type: core.ActionDeauthenticate, Workstation: 2, Cause: control.CauseRule1, Label: 2}},
-	}
-	//lint:ignore SA1019 the deprecated wrapper is the thing under test
-	got := AppendJSONL(nil, batch)
-	if !bytes.Equal(got, wire.AppendJSONL(nil, batch)) {
-		t.Fatal("stream.AppendJSONL no longer matches wire.AppendJSONL")
-	}
-}
-
 func TestLogSinkWritesJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "actions.jsonl")
 	s, err := NewLogSink(path)
@@ -119,10 +105,12 @@ type failSink struct{ err error }
 func (s failSink) Write([]engine.OfficeAction) error { return s.err }
 func (s failSink) Close() error                      { return s.err }
 
+// TestMultiSinkDeliversPastFailures: one failing member of the fan-out
+// does not stop delivery to the others; its error surfaces joined.
 func TestMultiSinkDeliversPastFailures(t *testing.T) {
 	ring := NewRingSink(64)
 	boom := errors.New("boom")
-	multi := NewMultiSink(failSink{err: boom}, ring)
+	multi := NewEncodeOnceSink(failSink{err: boom}, ring)
 	batch := sampleBatch(3)
 	if err := multi.Write(batch); !errors.Is(err, boom) {
 		t.Fatalf("multi write returned %v, want the failing sink's error", err)
@@ -436,7 +424,7 @@ func TestSegmentSinkCrashReplayMatchesGoldenPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewIngestor(testFleet(t, offices, 4), Config{Queue: windowTicks, Sink: NewMultiSink(ring, seg)})
+	in, err := NewIngestor(testFleet(t, offices, 4), Config{Queue: windowTicks, Sink: NewEncodeOnceSink(ring, seg)})
 	if err != nil {
 		t.Fatal(err)
 	}

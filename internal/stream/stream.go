@@ -152,20 +152,6 @@ type Config struct {
 	// has that many ticks queued, without waiting for a Flush. Leave it
 	// zero for strictly Flush-driven (deterministic) cadence.
 	BatchTicks int
-	// AdaptiveBatch, in free-running mode (BatchTicks > 0), scales the
-	// auto-dispatch threshold from the queue depth observed at each
-	// snapshot: a backlog of at least twice the threshold doubles it
-	// (larger batches amortise dispatch overhead when producers are
-	// ahead), a depth at or below half halves it (small batches favour
-	// latency when the stream is sparse), clamped to [BatchTicks,
-	// Queue]. BatchTicks is the floor and the starting point; requires
-	// BatchTicks > 0. Thresholds steer only *when* batches dispatch,
-	// never their content or per-office order. Pair it with
-	// MaxBatchLatency in free-running deployments: the threshold only
-	// decays at a dispatch, so once a burst has raised it, a stream
-	// that turns sparse (and never Flushes) needs the latency trigger
-	// as the backstop that keeps dispatching — and decaying — at all.
-	AdaptiveBatch bool
 	// MaxBatchLatency, when positive, bounds how long queued work may
 	// wait for a dispatch: a wall-clock trigger fires at most that long
 	// after the first tick (or input event) queued since the last
@@ -194,6 +180,9 @@ type officeQueue struct {
 	mu    sync.Mutex
 	space sync.Cond // Block-policy pushers wait for queue space
 	ticks [][]float64
+	// streams is the office's configured stream count: Push rejects a
+	// tick of any other length before it can reach the fleet.
+	streams int
 	// base is the number of ticks ever removed from the front of the
 	// queue (dispatched or dropped); base+len(ticks) is the sequence
 	// number the next pushed tick will get. Input events record the
@@ -211,12 +200,10 @@ type officeQueue struct {
 	// folded into the retired totals): pushes fail, snapshots skip it.
 	retired bool
 	// thresholdHit latches the auto-dispatch wake-up: the first Push at
-	// or past the live threshold signals the dispatcher, later ones
-	// stay quiet until the next snapshot resets the latch — one control-
-	// mutex acquisition per office per dispatch cycle instead of one per
-	// queued tick. The dispatcher independently re-checks thresholdDue
-	// at the end of every cycle, so a threshold lowered mid-climb is
-	// still noticed.
+	// or past BatchTicks signals the dispatcher, later ones stay quiet
+	// until the next snapshot resets the latch — one control-mutex
+	// acquisition per office per dispatch cycle instead of one per
+	// queued tick.
 	thresholdHit bool
 	// depth and pendN mirror len(ticks) and len(pend) for the
 	// dispatcher's lock-free threshold/drain scans.
@@ -231,9 +218,10 @@ type officeQueue struct {
 	spare [][]float64
 }
 
-// newOfficeQueue returns an empty queue with its condition wired up.
-func newOfficeQueue() *officeQueue {
-	q := &officeQueue{}
+// newOfficeQueue returns an empty queue for an office of the given
+// stream count, with its condition wired up.
+func newOfficeQueue(streams int) *officeQueue {
+	q := &officeQueue{streams: streams}
 	q.space.L = &q.mu
 	return q
 }
@@ -277,7 +265,6 @@ type Ingestor struct {
 	queue      int
 	onFull     Policy
 	batchTicks int
-	adaptive   bool
 	maxLatency time.Duration
 	sink       Sink
 	onBatch    func([]engine.OfficeAction)
@@ -288,9 +275,6 @@ type Ingestor struct {
 	closedFlag atomic.Bool
 	// needSpace counts Block-policy pushers waiting for a dispatch.
 	needSpace atomic.Int64
-	// effBatch is the live auto-dispatch threshold: fixed at batchTicks
-	// normally, scaled within [batchTicks, queue] under AdaptiveBatch.
-	effBatch atomic.Int64
 	// nBatches/nActions are the dispatch totals.
 	nBatches atomic.Uint64
 	nActions atomic.Uint64
@@ -355,9 +339,6 @@ func NewIngestor(fleet *engine.Fleet, cfg Config) (*Ingestor, error) {
 	if cfg.BatchTicks > queue {
 		return nil, fmt.Errorf("stream: batch ticks %d exceed queue capacity %d", cfg.BatchTicks, queue)
 	}
-	if cfg.AdaptiveBatch && cfg.BatchTicks <= 0 {
-		return nil, errors.New("stream: AdaptiveBatch needs BatchTicks > 0 as its floor")
-	}
 	if cfg.MaxBatchLatency < 0 {
 		return nil, fmt.Errorf("stream: negative max batch latency %v", cfg.MaxBatchLatency)
 	}
@@ -366,16 +347,15 @@ func NewIngestor(fleet *engine.Fleet, cfg Config) (*Ingestor, error) {
 		queue:          queue,
 		onFull:         cfg.OnFull,
 		batchTicks:     cfg.BatchTicks,
-		adaptive:       cfg.AdaptiveBatch,
 		maxLatency:     cfg.MaxBatchLatency,
 		sink:           cfg.Sink,
 		onBatch:        cfg.OnBatch,
 		dispatcherDone: make(chan struct{}),
 	}
-	in.effBatch.Store(int64(cfg.BatchTicks))
 	m := &membership{q: make(map[int]*officeQueue)}
 	for _, id := range fleet.IDs() {
-		m.q[id] = newOfficeQueue()
+		oc, _ := fleet.Config(id)
+		m.q[id] = newOfficeQueue(oc.Streams)
 		m.ids = append(m.ids, id)
 	}
 	in.members.Store(m)
@@ -442,7 +422,8 @@ func (in *Ingestor) AddOffice(cfg core.Config) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	in.addMember(id, newOfficeQueue())
+	oc, _ := in.fleet.Config(id) // the resolved config (cfg may be zero)
+	in.addMember(id, newOfficeQueue(oc.Streams))
 	return id, nil
 }
 
@@ -537,13 +518,14 @@ func (in *Ingestor) wakeDispatcher() {
 }
 
 // Push queues one RSSI tick (one sample per stream) for an office, named
-// by its stable ID. The sample slice is copied, so the caller may reuse
-// its buffer. When the office's queue is full the configured Policy
-// decides: Block waits for the dispatcher, DropOldest evicts, ErrorOnFull
-// returns ErrQueueFull. A Block-policy Push whose office is removed while
-// it waits returns ErrUnknownOffice. Pushes to different offices take
-// only their own office's lock, so producers do not contend with each
-// other.
+// by its stable ID. A tick whose length differs from the office's stream
+// count is rejected with an error. The sample slice is copied, so the
+// caller may reuse its buffer. When the office's queue is full the
+// configured Policy decides: Block waits for the dispatcher, DropOldest
+// evicts, ErrorOnFull returns ErrQueueFull. A Block-policy Push whose
+// office is removed while it waits returns ErrUnknownOffice. Pushes to
+// different offices take only their own office's lock, so producers do
+// not contend with each other.
 func (in *Ingestor) Push(office int, rssi []float64) error {
 	q := in.members.Load().q[office]
 	if q == nil {
@@ -551,6 +533,9 @@ func (in *Ingestor) Push(office int, rssi []float64) error {
 			return ErrClosed
 		}
 		return fmt.Errorf("%w (office %d)", ErrUnknownOffice, office)
+	}
+	if len(rssi) != q.streams {
+		return fmt.Errorf("stream: office %d tick has %d samples, want %d", office, len(rssi), q.streams)
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -592,7 +577,7 @@ func (in *Ingestor) Push(office int, rssi []float64) error {
 	q.ticks = append(q.ticks, tick)
 	q.pushed++
 	q.depth.Add(1)
-	if in.batchTicks > 0 && !q.thresholdHit && int64(len(q.ticks)) >= in.effBatch.Load() {
+	if in.batchTicks > 0 && !q.thresholdHit && len(q.ticks) >= in.batchTicks {
 		q.thresholdHit = true
 		in.wakeDispatcher()
 	}
@@ -904,10 +889,6 @@ type Stats struct {
 	// Batches counts dispatch cycles that delivered at least one tick or
 	// input event; Actions counts the merged actions they produced.
 	Batches, Actions uint64
-	// AutoBatchTicks is the live auto-dispatch threshold: Config.
-	// BatchTicks normally, its current adaptive scaling under
-	// AdaptiveBatch, 0 when auto-dispatch is off.
-	AutoBatchTicks int
 	// Dropped is the fleet-wide total of dropped/rejected ticks,
 	// including those of retired offices.
 	Dropped uint64
@@ -939,11 +920,10 @@ func (s Stats) Totals() OfficeStats {
 func (in *Ingestor) Stats() Stats {
 	in.mu.Lock()
 	st := Stats{
-		Retired:        in.retired,
-		Batches:        in.nBatches.Load(),
-		Actions:        in.nActions.Load(),
-		AutoBatchTicks: int(in.effBatch.Load()),
-		Dropped:        in.retired.Dropped,
+		Retired: in.retired,
+		Batches: in.nBatches.Load(),
+		Actions: in.nActions.Load(),
+		Dropped: in.retired.Dropped,
 	}
 	in.mu.Unlock()
 	st.Retired.Office = -1
@@ -990,7 +970,7 @@ func (in *Ingestor) dispatch() {
 		in.mu.Unlock()
 
 		m := in.members.Load()
-		batch, evs, n, maxDepth := in.takeSnapshot(m)
+		batch, evs, n := in.takeSnapshot(m)
 
 		var acts []engine.OfficeAction
 		var err error
@@ -1012,9 +992,6 @@ func (in *Ingestor) dispatch() {
 			in.nBatches.Add(1)
 			in.nActions.Add(uint64(len(acts)))
 		}
-		if in.adaptive && n > 0 {
-			in.effBatch.Store(int64(nextAutoBatch(int(in.effBatch.Load()), in.batchTicks, in.queue, maxDepth)))
-		}
 
 		in.mu.Lock()
 		if err != nil && in.err == nil {
@@ -1029,40 +1006,18 @@ func (in *Ingestor) dispatch() {
 }
 
 // thresholdDue reports whether auto-dispatch is due: some office has
-// reached the live threshold (BatchTicks, or its adaptive scaling).
-// Reads only atomics; safe under the control mutex.
+// BatchTicks ticks queued. Reads only atomics; safe under the control
+// mutex.
 func (in *Ingestor) thresholdDue() bool {
 	if in.batchTicks <= 0 {
 		return false
 	}
-	eff := in.effBatch.Load()
 	for _, q := range in.members.Load().q {
-		if q.depth.Load() >= eff {
+		if q.depth.Load() >= int64(in.batchTicks) {
 			return true
 		}
 	}
 	return false
-}
-
-// nextAutoBatch scales the auto-dispatch threshold from the queue depth
-// observed when a batch was snapshotted: a backlog of at least twice
-// the threshold means dispatches are falling behind arrivals (double
-// it), a depth at or below half means the stream is sparse (halve it,
-// favouring latency), anything between holds. Clamped to [floor, ceil].
-func nextAutoBatch(cur, floor, ceil, depth int) int {
-	switch {
-	case depth >= 2*cur:
-		cur *= 2
-	case depth <= cur/2:
-		cur /= 2
-	}
-	if cur < floor {
-		cur = floor
-	}
-	if cur > ceil {
-		cur = ceil
-	}
-	return cur
 }
 
 // anyQueued reports whether any ticks or input events are pending.
@@ -1084,7 +1039,7 @@ func (in *Ingestor) anyQueued() bool {
 // surviving tick). Emptied queues wake their Block-policy pushers.
 // Retired queues are skipped. Only the dispatcher calls this (batchBuf/
 // evsBuf are its private scratch).
-func (in *Ingestor) takeSnapshot(m *membership) (batch []engine.OfficeBatch, evs []engine.InputEvent, n, maxDepth int) {
+func (in *Ingestor) takeSnapshot(m *membership) (batch []engine.OfficeBatch, evs []engine.InputEvent, n int) {
 	// Restart the latency clock before touching the queues: work pushed
 	// while the snapshot sweeps may or may not make this batch, so it
 	// must be allowed to re-arm the trigger.
@@ -1099,9 +1054,6 @@ func (in *Ingestor) takeSnapshot(m *membership) (batch []engine.OfficeBatch, evs
 			continue
 		}
 		q.thresholdHit = false
-		if len(q.ticks) > maxDepth {
-			maxDepth = len(q.ticks)
-		}
 		for _, pi := range q.pend {
 			tick := 0
 			if pi.seq > q.base {
@@ -1130,7 +1082,7 @@ func (in *Ingestor) takeSnapshot(m *membership) (batch []engine.OfficeBatch, evs
 	}
 	in.evsBuf = evs
 	in.batchBuf = batch
-	return batch, evs, n, maxDepth
+	return batch, evs, n
 }
 
 // recycleBatch returns a dispatched snapshot's buffers to their office

@@ -6,14 +6,13 @@ import (
 )
 
 // altImplSets returns the implementation sets cross-checked against the
-// portable reference on this machine: always the unrolled set, plus the
-// AVX2 assembly set when the hardware can run it.
+// portable reference on this machine: the AVX2 assembly set when the
+// hardware can run it, otherwise none.
 func altImplSets() []*funcs {
-	sets := []*funcs{&unrolledFuncs}
 	if haveAVX2() {
-		sets = append(sets, &avx2Funcs)
+		return []*funcs{&avx2Funcs}
 	}
-	return sets
+	return nil
 }
 
 // expExactStdlib reports whether ExpSlice is expected to match math.Exp
@@ -28,13 +27,12 @@ func TestImplSelectionMatchesHardware(t *testing.T) {
 	case force != "":
 		want = map[string]string{
 			"portable": "portable",
-			"unroll":   "unrolled-amd64",
 			"avx2":     "avx2-amd64",
 		}[force]
 		if want == "" {
 			t.Fatalf("test running under unknown FADEWICH_VMATH=%q — init should have panicked", force)
 		}
-	case haveAVX2() && !novecEnv(os.Getenv("FADEWICH_NOVEC")):
+	case haveAVX2():
 		want = "avx2-amd64"
 	}
 	if got := Impl(); got != want {
@@ -44,45 +42,40 @@ func TestImplSelectionMatchesHardware(t *testing.T) {
 
 func TestPickImplForcingMatrix(t *testing.T) {
 	cases := []struct {
-		force, novec string
-		avx2         bool
-		want         *funcs
-		wantErr      bool
+		force   string
+		avx2    bool
+		want    *funcs
+		wantErr bool
 	}{
-		{"", "", true, &avx2Funcs, false},
-		{"", "", false, &portableFuncs, false},
-		{"", "1", true, &portableFuncs, false},
-		{"", "0", true, &avx2Funcs, false},
-		{"portable", "", true, &portableFuncs, false},
-		{"unroll", "", true, &unrolledFuncs, false},
-		{"unroll", "", false, &unrolledFuncs, false},
-		{"avx2", "", true, &avx2Funcs, false},
-		{"avx2", "1", true, &avx2Funcs, false}, // explicit force beats legacy NOVEC
-		{"avx2", "", false, nil, true},         // forced without hardware: loud failure
-		{"sse9", "", true, nil, true},          // unknown value: loud failure
+		{"", true, &avx2Funcs, false},
+		{"", false, &portableFuncs, false},
+		{"portable", true, &portableFuncs, false},
+		{"portable", false, &portableFuncs, false},
+		{"avx2", true, &avx2Funcs, false},
+		{"avx2", false, nil, true}, // forced without hardware: loud failure
+		{"sse9", true, nil, true},  // unknown value: loud failure
 	}
 	for _, c := range cases {
-		got, err := pickImpl(c.force, c.novec, c.avx2)
+		got, err := pickImpl(c.force, c.avx2)
 		if c.wantErr {
 			if err == nil {
-				t.Fatalf("pickImpl(%q, %q, %v): want error, got %q", c.force, c.novec, c.avx2, got.name)
+				t.Fatalf("pickImpl(%q, %v): want error, got %q", c.force, c.avx2, got.name)
 			}
 			continue
 		}
 		if err != nil {
-			t.Fatalf("pickImpl(%q, %q, %v): unexpected error %v", c.force, c.novec, c.avx2, err)
+			t.Fatalf("pickImpl(%q, %v): unexpected error %v", c.force, c.avx2, err)
 		}
 		if got != c.want {
-			t.Fatalf("pickImpl(%q, %q, %v) = %q, want %q", c.force, c.novec, c.avx2, got.name, c.want.name)
+			t.Fatalf("pickImpl(%q, %v) = %q, want %q", c.force, c.avx2, got.name, c.want.name)
 		}
 	}
 }
 
 func TestActivePathMatchesImpl(t *testing.T) {
 	want := map[string]string{
-		"portable":       "portable",
-		"unrolled-amd64": "unroll",
-		"avx2-amd64":     "avx2",
+		"portable":   "portable",
+		"avx2-amd64": "avx2",
 	}[Impl()]
 	if got := ActivePath(); got != want {
 		t.Fatalf("ActivePath() = %q, want %q for Impl() = %q", got, want, Impl())

@@ -105,9 +105,8 @@ func runKernels(fs *funcs, in *kernelInputs) map[string][]float64 {
 
 // awkwardLengths are the slice lengths every cross-check sweeps: empty,
 // single element, one below/at/above the 4-float64 SIMD group width of
-// the unrolled and AVX2 paths, and a multi-group length with a ragged
-// 3-element tail (4·lane+3) — pinning the assembly kernels' bail and
-// tail handling.
+// the AVX2 path, and a multi-group length with a ragged 3-element tail
+// (4·lane+3) — pinning the assembly kernels' bail and tail handling.
 var awkwardLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 19}
 
 // checkImplsAgree runs all kernels under the portable set and every

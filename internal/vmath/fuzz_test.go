@@ -8,7 +8,7 @@ import (
 // FuzzVmathKernels fuzzes two float64 seeds into a shared input set and
 // checks (a) the exp/log kernels against the stdlib bit for bit and
 // (b) the portable set against every alternative implementation set on
-// this machine (unrolled, and the AVX2 assembly where supported) across
+// this machine (the AVX2 assembly where supported) across
 // all kernels, including the awkward lengths that pin SIMD group bail
 // and tail handling.
 func FuzzVmathKernels(f *testing.F) {

@@ -1,7 +1,7 @@
 // Portable kernel implementations: per-element loops over the shared
-// scalar helpers. These are the reference semantics — the unrolled
-// amd64 set must match them bit for bit, which the package tests and
-// fuzz target enforce.
+// scalar helpers. These are the reference semantics — the AVX2 amd64
+// set must match them bit for bit, which the package tests and fuzz
+// target enforce.
 
 package vmath
 

@@ -231,23 +231,14 @@ func TestExcessPathOnSegment(t *testing.T) {
 	}
 }
 
-func TestNovecEnvParsing(t *testing.T) {
-	cases := map[string]bool{"": false, "0": false, "1": true, "true": true, "yes": true}
-	for v, want := range cases {
-		if got := novecEnv(v); got != want {
-			t.Fatalf("novecEnv(%q) = %v, want %v", v, got, want)
-		}
-	}
-}
-
 func TestImplReportsKnownName(t *testing.T) {
 	switch Impl() {
-	case "portable", "unrolled-amd64", "avx2-amd64":
+	case "portable", "avx2-amd64":
 	default:
 		t.Fatalf("Impl() = %q, not a known implementation", Impl())
 	}
 	switch ActivePath() {
-	case "portable", "unroll", "avx2":
+	case "portable", "avx2":
 	default:
 		t.Fatalf("ActivePath() = %q, not a known path", ActivePath())
 	}
