@@ -277,6 +277,24 @@ func runWorker(opt options) error {
 	return serveFleet(opt, cfg, false)
 }
 
+// Connection bounds shared by both listeners: a client has
+// readHeaderTimeout to send its request headers, and a keep-alive
+// connection idle for idleTimeout is closed, so a stalled client cannot
+// hold a connection open forever. ReadTimeout and WriteTimeout stay
+// unset on purpose: they are whole-connection deadlines and would cut
+// every long-lived GET /v1/actions stream (net/http's background read
+// hits the read deadline and cancels the request context, and the write
+// deadline fails the next frame).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the connection bounds.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serveFleet hosts a serve.Server (single-process or worker shard)
 // until SIGINT/SIGTERM, draining on the way out.
 func serveFleet(opt options, cfg serve.Config, specIsFile bool) error {
@@ -294,7 +312,7 @@ func serveFleet(opt options, cfg serve.Config, specIsFile bool) error {
 	// humans with -listen :0), so its shape is load-bearing.
 	fmt.Fprintf(os.Stderr, "fadewich-serve: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
@@ -398,7 +416,7 @@ func runCoordinator(opt options) error {
 	}
 	fmt.Fprintf(os.Stderr, "fadewich-serve: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: c}
+	httpSrv := newHTTPServer(c)
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)

@@ -485,6 +485,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 func (s *Server) ingestJSONL(body io.Reader, res *ingestResult) error {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
+	dec := newTickDecoder()
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -492,8 +493,8 @@ func (s *Server) ingestJSONL(body io.Reader, res *ingestResult) error {
 		if len(line) == 0 {
 			continue
 		}
-		var rec tickLine
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := dec.decode(line)
+		if err != nil {
 			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		id, ok := s.rec.IDOf(rec.Office)

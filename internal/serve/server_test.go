@@ -252,6 +252,77 @@ func TestTicksWrongLengthRejected(t *testing.T) {
 	}
 }
 
+// TestTicksLineShapes pins POST /v1/ticks at the edge of the canonical
+// tick-line shape, for JSONL and framed bodies: each shape sits on
+// line 2 between two valid lines. Shapes encoding/json accepts (other
+// key orders and cases, whitespace, escapes, duplicate and unknown
+// keys) are pushed like canonical lines; the rest are answered 400
+// naming line 2, with only line 1 (and, framed, the whole first frame)
+// accepted.
+func TestTicksLineShapes(t *testing.T) {
+	const valid = `{"office":"a","rssi":[-60,-61]}`
+	for _, c := range []struct {
+		line   string
+		inputs int    // accepted input lines
+		err    string // the rejection after "line 2: ", or "" when accepted
+	}{
+		{line: `{"rssi":[-60,-61],"office":"a"}`},
+		{line: `{ "office" : "a" , "rssi" : [ -60 , -61 ] }`},
+		{line: `{"Office":"a","RSSI":[-60,-61]}`},
+		{line: `{"office":"\u0061","rssi":[-60,-61]}`},
+		{line: `{"office":"b","office":"a","rssi":[-60,-61]}`},
+		{line: `{"office":"a","rssi":[-60,-61],"extra":{"x":[1]}}`},
+		{line: `{"office":"a","rssi":[-0,1E+2]}`},
+		{line: `{"office":"a","rssi":[-6e1,-61.000]}`},
+		{line: `{"office":"a","input":1}`, inputs: 1},
+		{line: `{"office":"a","rssi":[]}`, err: "stream: office 0 tick has 0 samples, want 2"},
+		{line: `{"office":"a","rssi":[01,-60]}`, err: "invalid character '1' after array element"},
+		{line: `{"office":"a","rssi":[1.,-60]}`, err: "invalid character ',' after decimal point in numeric literal"},
+		{line: `{"office":"a","rssi":[+1,-60]}`, err: "invalid character '+' looking for beginning of value"},
+		{line: `{"office":"a","rssi":[1e400,-60]}`, err: "json: cannot unmarshal number 1e400 into Go struct field tickLine.rssi of type float64"},
+		{line: `{"office":"a","rssi":[-60,,-61]}`, err: "invalid character ',' looking for beginning of value"},
+		{line: `{"office":"a","rssi":[-60,-61],}`, err: "invalid character '}' looking for beginning of object key string"},
+		{line: `{"office":"a","rssi":[-60,-61]`, err: "unexpected end of JSON input"},
+		{line: `{"office":"a","rssi":[-60,-61]}x`, err: "invalid character 'x' after top-level value"},
+		{line: `{"office":"a","rssi":null}`, err: "neither rssi nor input"},
+		{line: `{"office":"a","input":2.0}`, err: "json: cannot unmarshal number 2.0 into Go struct field tickLine.input of type int"},
+		{line: "{\"office\":\"a\xff\",\"rssi\":[-60,-61]}", err: "unknown office \"a\ufffd\""},
+		{line: `{"office":"é","rssi":[-60,-61]}`, err: `unknown office "é"`},
+	} {
+		srv, _ := newTestServer(t, specJSON("a"))
+		body := valid + "\n" + c.line + "\n" + valid + "\n"
+		framed, err := wire.AppendRawFrame(nil, wire.V1JSONL, []byte(valid+"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if framed, err = wire.AppendRawFrame(framed, wire.V1JSONL, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range []struct {
+			contentType, body, prefix string
+			before                    int // ticks accepted before the body's lines
+		}{
+			{"", body, "", 0},
+			{ContentTypeFrames, string(framed), "frame 2: ", 1},
+		} {
+			pushed := srv.Ingestor().Stats().Totals().Pushed
+			rr := post(srv, "/v1/ticks", req.contentType, req.body)
+			res := decodeBody[ingestResult](t, rr)
+			wantTicks, wantStatus, wantErr := req.before+3-c.inputs, http.StatusOK, ""
+			if c.err != "" {
+				wantTicks, wantStatus, wantErr = req.before+1, http.StatusBadRequest, req.prefix+"line 2: "+c.err
+			}
+			if rr.Code != wantStatus || res.AcceptedTicks != wantTicks || res.AcceptedInputs != c.inputs || res.Error != wantErr {
+				t.Fatalf("%q (content type %q): status %d, result %+v; want status %d, %d ticks, error %q",
+					c.line, req.contentType, rr.Code, res, wantStatus, wantTicks, wantErr)
+			}
+			if got := srv.Ingestor().Stats().Totals().Pushed - pushed; got != uint64(wantTicks) {
+				t.Fatalf("%q (content type %q): %d ticks pushed, want %d", c.line, req.contentType, got, wantTicks)
+			}
+		}
+	}
+}
+
 func TestTicksFrames(t *testing.T) {
 	srv, _ := newTestServer(t, specJSON("a"))
 	line := `{"office":"a","rssi":[-60,-61]}` + "\n"

@@ -3,7 +3,9 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -287,6 +289,43 @@ func TestIngestorRejectsWrongLengthTick(t *testing.T) {
 		if o.Pushed != 1 || o.Dispatched != 1 || o.Dropped != 0 {
 			t.Fatalf("office %d counters after rejections: %+v, want exactly the one valid tick", o.Office, o)
 		}
+	}
+}
+
+// TestIngestorRejectsNonFiniteTick: a tick holding a NaN or ±Inf
+// sample is refused at Push with an error naming the office and the
+// stream, and leaves the queue untouched, so the office's later valid
+// ticks still dispatch.
+func TestIngestorRejectsNonFiniteTick(t *testing.T) {
+	f := testFleet(t, 1, 1)
+	in, err := NewIngestor(f, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	for _, c := range []struct {
+		rssi []float64
+		want string
+	}{
+		{[]float64{math.NaN(), -58}, "office 0 tick has NaN at stream 0"},
+		{[]float64{-60, math.Inf(1)}, "office 0 tick has +Inf at stream 1"},
+		{[]float64{-60, math.Inf(-1)}, "office 0 tick has -Inf at stream 1"},
+	} {
+		err := in.Push(0, c.rssi)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Push(%v) = %v, want an error containing %q", c.rssi, err, c.want)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := in.Push(0, []float64{-60, -58}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := in.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if o := in.Stats().Offices[0]; o.Pushed != 2 || o.Dispatched != 2 || o.Dropped != 0 {
+		t.Fatalf("counters after rejections: %+v, want exactly the two valid ticks", o)
 	}
 }
 

@@ -67,6 +67,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -519,7 +520,8 @@ func (in *Ingestor) wakeDispatcher() {
 
 // Push queues one RSSI tick (one sample per stream) for an office, named
 // by its stable ID. A tick whose length differs from the office's stream
-// count is rejected with an error. The sample slice is copied, so the
+// count, or that holds a NaN or ±Inf sample, is rejected with an error
+// and leaves the queue untouched. The sample slice is copied, so the
 // caller may reuse its buffer. When the office's queue is full the
 // configured Policy decides: Block waits for the dispatcher, DropOldest
 // evicts, ErrorOnFull returns ErrQueueFull. A Block-policy Push whose
@@ -536,6 +538,11 @@ func (in *Ingestor) Push(office int, rssi []float64) error {
 	}
 	if len(rssi) != q.streams {
 		return fmt.Errorf("stream: office %d tick has %d samples, want %d", office, len(rssi), q.streams)
+	}
+	for i, v := range rssi {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("stream: office %d tick has %v at stream %d, want finite samples", office, v, i)
+		}
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
